@@ -7,8 +7,9 @@
 //!    binary codec. Reports the RTT distribution (p50/p99/mean/max),
 //!    operation throughput, and the egress-pipeline counters.
 //! 2. **burst** — sender nodes each emitting hard bursts of `LoadReport`
-//!    frames at a single sink, the regime the per-peer writer threads are
-//!    built for. Reports the frames-per-syscall coalescing ratio.
+//!    frames at a single sink: each burst is sent from one callback, so
+//!    the reactor's end-of-iteration flush ships it in a few vectored
+//!    writes. Reports the frames-per-syscall coalescing ratio.
 //!
 //! Results are printed as a table and written to `BENCH_tcp.json` at the
 //! repo root (validated in CI by `tools/check_bench_json.py`).
@@ -164,8 +165,8 @@ const BURST_SIZE: u64 = 256;
 const TOK_BURST: u64 = 1;
 
 /// Emits `rounds` bursts of `BURST_SIZE` frames at the sink, one burst
-/// per millisecond — faster than one socket write per frame can drain,
-/// which is exactly what the writer threads coalesce.
+/// per millisecond — faster than one socket write per frame can drain.
+/// A burst leaves one callback, so the sender's flush coalesces it.
 struct Burster {
     sink: Addr,
     rounds: u64,

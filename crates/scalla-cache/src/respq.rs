@@ -11,7 +11,9 @@
 //!   `R_w` reference stores the id it saw. Either side may drop the
 //!   association unilaterally — the other detects it by a simple compare.
 //! * The sweep thread clocks 133 ms periods; any request older than that is
-//!   removed and its clients are told to wait a full period and retry.
+//!   removed and its clients are told to wait a full period and retry. A
+//!   full queue frees such expired anchors at once instead of refusing a
+//!   new request; their waiters still hear from the next sweep.
 //! * When a server responds positively, the waiters move to the response
 //!   ready path and are released with the server's identity — typically
 //!   ~100 µs after the query instead of 5 s.
@@ -62,6 +64,8 @@ pub struct RespQueue {
     anchors: Vec<Anchor>,
     free: Vec<u32>,
     fast_window: Nanos,
+    /// Waiters of anchors freed past the fast window, for the next sweep.
+    timed_out: Vec<Waiter>,
 }
 
 impl RespQueue {
@@ -79,7 +83,7 @@ impl RespQueue {
             })
             .collect::<Vec<_>>();
         let free = (0..anchor_count as u32).rev().collect();
-        RespQueue { anchors, free, fast_window }
+        RespQueue { anchors, free, fast_window, timed_out: Vec::new() }
     }
 
     /// Number of busy anchors (diagnostics).
@@ -101,6 +105,11 @@ impl RespQueue {
         waiter: Waiter,
         now: Nanos,
     ) -> Result<RespRef, QueueFull> {
+        if self.free.is_empty() {
+            // Anchors past the fast window would go at the next sweep
+            // anyway: free them now rather than refuse this request.
+            self.expire(now);
+        }
         let idx = self.free.pop().ok_or(QueueFull)?;
         let a = &mut self.anchors[idx as usize];
         debug_assert!(!a.busy);
@@ -154,17 +163,21 @@ impl RespQueue {
     /// and returns its waiters, which the caller must tell to wait a full
     /// period and retry.
     pub fn sweep(&mut self, now: Nanos) -> Vec<Waiter> {
-        let mut timed_out = Vec::new();
-        for idx in 0..self.anchors.len() {
-            let a = &mut self.anchors[idx];
+        self.expire(now);
+        std::mem::take(&mut self.timed_out)
+    }
+
+    /// Frees every anchor older than the fast window, keeping its waiters
+    /// for [`RespQueue::sweep`] to return.
+    fn expire(&mut self, now: Nanos) {
+        for (idx, a) in self.anchors.iter_mut().enumerate() {
             if a.busy && now.since(a.enqueued) > self.fast_window {
-                timed_out.append(&mut a.waiters);
+                self.timed_out.append(&mut a.waiters);
                 a.busy = false;
                 a.assoc = a.assoc.wrapping_add(1);
                 self.free.push(idx as u32);
             }
         }
-        timed_out
     }
 }
 
@@ -204,6 +217,25 @@ mod tests {
         }
         assert_eq!(q.open(9, AccessMode::Write, Waiter::new(9, 0), Nanos::ZERO), Err(QueueFull));
         assert_eq!(q.busy_anchors(), 4);
+    }
+
+    #[test]
+    fn full_queue_frees_anchors_past_the_window() {
+        let mut q = q();
+        for i in 0..4 {
+            q.open(i, AccessMode::Read, Waiter::new(u64::from(i), 0), Nanos::ZERO).unwrap();
+        }
+        let at_window = Nanos::from_millis(133);
+        assert_eq!(q.open(9, AccessMode::Read, Waiter::new(9, 0), at_window), Err(QueueFull));
+        // Past the window the expired anchors make room at once...
+        let t = Nanos::from_millis(140);
+        let r = q.open(9, AccessMode::Read, Waiter::new(9, 0), t).unwrap();
+        assert_eq!(q.busy_anchors(), 1);
+        // ...and the next sweep still tells their waiters to wait.
+        let mut swept = q.sweep(t);
+        swept.sort_by_key(|w| w.client);
+        assert_eq!(swept, (0..4).map(|c| Waiter::new(c, 0)).collect::<Vec<_>>());
+        assert_eq!(q.satisfy(r, 9), Some(vec![Waiter::new(9, 0)]));
     }
 
     #[test]

@@ -5,8 +5,9 @@
 //! on the metadata path the paper works so hard to keep flat (§VI: "compact
 //! data structures", "constant time algorithms in all high-use paths").
 //! [`BufferPool`] recycles encode buffers instead: the steady-state send
-//! path pops a warm buffer, encodes into it, ships it to a writer thread,
-//! and the writer returns it — zero allocations once the pool is primed.
+//! path pops a warm buffer, encodes into it, queues it on a connection,
+//! and the flush that writes it returns it — zero allocations once the
+//! pool is primed.
 
 use crate::msg::Msg;
 use crate::wire::encode_frame;

@@ -25,7 +25,7 @@
 //! fault in `scalla_chaos_faults_total{fault=...}` and marks a
 //! `partition_healed` incident when a partition closes, pairing with the
 //! `peer_dead` / `peer_reconnected` incidents the recovery machinery
-//! emits (egress writer state machine, cmsd health monitor).
+//! emits (TCP egress state machine, cmsd health monitor).
 
 use scalla_obs::Obs;
 use scalla_proto::Addr;

@@ -13,11 +13,11 @@
 //!   real locking and queueing code paths under true concurrency.
 //! * [`tcp`] — the real-socket runtime: the same nodes again, but every
 //!   message crosses a localhost `TcpStream` through the binary wire
-//!   codec and frame decoder. Sends never block the protocol thread:
-//!   each peer gets a bounded egress queue drained by a writer thread
-//!   that coalesces bursts into single vectored writes (see DESIGN.md
-//!   §4, "Runtime tiers"); drops at any layer are counted and surfaced
-//!   via [`NetCounters`](metrics::NetCounters).
+//!   codec and frame decoder. Each node is one thread running an `epoll`
+//!   reactor over its own sockets: sends append to a bounded per-peer
+//!   buffer, flushed once per loop iteration as one vectored write (see
+//!   DESIGN.md §4, "Runtime tiers"), so they never block; drops are
+//!   counted and surfaced via [`NetCounters`](metrics::NetCounters).
 //! * [`workload`] — synthetic workload generators shaped like the paper's
 //!   motivating load: BaBar/ROOT analysis jobs performing "several
 //!   meta-data operations on dozens of files per job" (§II-A), bulk
@@ -39,6 +39,7 @@ pub mod cluster;
 mod egress;
 pub mod live;
 pub mod metrics;
+mod sys;
 pub mod tcp;
 pub mod trace;
 pub mod workload;

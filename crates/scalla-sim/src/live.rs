@@ -18,7 +18,7 @@ use scalla_proto::{Addr, Msg};
 use scalla_simnet::{NetCtx, Node};
 use scalla_util::{Clock, Nanos, SystemClock};
 use std::collections::BinaryHeap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
@@ -28,8 +28,8 @@ enum Envelope {
         msg: Msg,
         trace: u64,
     },
-    /// Re-runs `on_start` after a chaos revive (timers cleared first).
-    Restart,
+    /// Wakes the loop so it sees a raised restart flag.
+    Wake,
     Stop,
 }
 
@@ -100,6 +100,9 @@ pub struct LiveNet {
     clock: Arc<SystemClock>,
     senders: Vec<Sender<Envelope>>,
     drops: Vec<Arc<AtomicU64>>,
+    /// Per-node restart requests, checked by the node loop every turn so
+    /// a revive cannot be lost to a full mailbox.
+    restarts: Vec<Arc<AtomicBool>>,
     pending: Vec<Option<PendingNode>>,
     handles: Vec<Option<JoinHandle<Box<dyn Node>>>>,
     started: bool,
@@ -114,6 +117,7 @@ impl LiveNet {
             clock: Arc::new(SystemClock::new()),
             senders: Vec::new(),
             drops: Vec::new(),
+            restarts: Vec::new(),
             pending: Vec::new(),
             handles: Vec::new(),
             started: false,
@@ -145,8 +149,11 @@ impl LiveNet {
     /// (`on_start` re-runs on its own thread, timers cleared first).
     pub fn revive(&self, addr: Addr) {
         self.gates.revive(addr);
-        if let Some(tx) = self.senders.get(addr.0 as usize) {
-            let _ = tx.try_send(Envelope::Restart);
+        if let Some(flag) = self.restarts.get(addr.0 as usize) {
+            flag.store(true, Ordering::SeqCst);
+            // Only a wake-up: a full mailbox means the loop is busy and
+            // will see the flag on its next turn anyway.
+            let _ = self.senders[addr.0 as usize].try_send(Envelope::Wake);
         }
     }
 
@@ -193,6 +200,7 @@ impl LiveNet {
         let addr = Addr(self.senders.len() as u64);
         self.senders.push(tx);
         self.drops.push(Arc::new(AtomicU64::new(0)));
+        self.restarts.push(Arc::new(AtomicBool::new(false)));
         self.pending.push(Some((node, rx)));
         self.handles.push(None);
         addr
@@ -211,6 +219,7 @@ impl LiveNet {
             let senders = senders.clone();
             let drops = all_drops.clone();
             let gates = self.gates.clone();
+            let restart = self.restarts[i].clone();
             let handle = std::thread::Builder::new()
                 .name(format!("scalla-node-{i}"))
                 .spawn(move || {
@@ -230,6 +239,21 @@ impl LiveNet {
                         node.on_start(&mut ctx);
                     }
                     loop {
+                        if restart.swap(false, Ordering::SeqCst) {
+                            // A revive: the node re-arms its own schedule.
+                            timers.clear();
+                            let mut ctx = LiveCtx {
+                                me,
+                                clock: &clock,
+                                senders: &senders,
+                                drops: &drops,
+                                timers: &mut timers,
+                                rng_state: &mut rng_state,
+                                gates: &gates,
+                                trace: 0,
+                            };
+                            node.on_start(&mut ctx);
+                        }
                         // Fire due timers.
                         let now = clock.now();
                         let mut due = Vec::new();
@@ -281,20 +305,7 @@ impl LiveNet {
                                 };
                                 node.on_message(&mut ctx, from, msg);
                             }
-                            Ok(Envelope::Restart) => {
-                                timers.clear();
-                                let mut ctx = LiveCtx {
-                                    me,
-                                    clock: &clock,
-                                    senders: &senders,
-                                    drops: &drops,
-                                    timers: &mut timers,
-                                    rng_state: &mut rng_state,
-                                    gates: &gates,
-                                    trace: 0,
-                                };
-                                node.on_start(&mut ctx);
-                            }
+                            Ok(Envelope::Wake) => {}
                             Ok(Envelope::Stop) => break,
                             Err(crossbeam::channel::RecvTimeoutError::Timeout) => {}
                             Err(crossbeam::channel::RecvTimeoutError::Disconnected) => break,
@@ -507,6 +518,53 @@ mod tests {
         net.inject(Addr(99), a, ServerMsg::CloseOk.into());
         assert_poll(Duration::from_secs(5), "revived node hears again", || {
             count.load(Ordering::SeqCst) == 1
+        });
+        net.shutdown();
+    }
+
+    #[test]
+    fn revive_with_a_full_mailbox_still_restarts_the_node() {
+        // The node blocks inside its first message until released, so the
+        // mailbox behind it fills up before the revive.
+        struct Blocker {
+            blocked: bool,
+            starts: Arc<AtomicU64>,
+            entered: Sender<()>,
+            release: Receiver<()>,
+        }
+        impl Node for Blocker {
+            fn on_start(&mut self, _: &mut dyn NetCtx) {
+                self.starts.fetch_add(1, Ordering::SeqCst);
+            }
+            fn on_message(&mut self, _: &mut dyn NetCtx, _: Addr, _: Msg) {
+                if !self.blocked {
+                    self.blocked = true;
+                    self.entered.send(()).expect("test waits for the node");
+                    self.release.recv().expect("test releases the node");
+                }
+            }
+        }
+        let starts = Arc::new(AtomicU64::new(0));
+        let (entered_tx, entered_rx) = bounded(1);
+        let (release_tx, release_rx) = bounded(1);
+        let mut net = LiveNet::new();
+        let a = net.add_node(Box::new(Blocker {
+            blocked: false,
+            starts: starts.clone(),
+            entered: entered_tx,
+            release: release_rx,
+        }));
+        net.start();
+        net.inject(Addr(99), a, ServerMsg::CloseOk.into());
+        entered_rx.recv().expect("node took the first message");
+        while net.counters().mailbox_drops[a.0 as usize] == 0 {
+            net.inject(Addr(99), a, ServerMsg::CloseOk.into());
+        }
+        net.kill(a);
+        net.revive(a);
+        release_tx.send(()).unwrap();
+        assert_poll(Duration::from_secs(10), "revive re-runs on_start past a full mailbox", || {
+            starts.load(Ordering::SeqCst) == 2
         });
         net.shutdown();
     }

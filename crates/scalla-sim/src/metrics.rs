@@ -6,8 +6,8 @@ use scalla_util::{Histogram, Nanos};
 
 /// Egress-pipeline counters for a real-socket runtime.
 ///
-/// `frames / writes` is the coalescing ratio: how many frames the writer
-/// threads shipped per vectored-write syscall. Drops are explicit — the
+/// `frames / writes` is the coalescing ratio: how many frames each
+/// vectored-write syscall shipped. Drops are explicit — the
 /// runtime never blocks a protocol thread to avoid them.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct EgressCounters {
@@ -24,7 +24,7 @@ pub struct EgressCounters {
     pub pool_hits: u64,
     /// Encode buffers that had to be freshly allocated.
     pub pool_misses: u64,
-    /// Alive→dead peer transitions detected by writer threads.
+    /// Alive→dead peer transitions (failed connects or stalled writes).
     pub peer_deaths: u64,
     /// Dead→alive peer transitions (successful backoff probes).
     pub peer_reconnects: u64,
@@ -61,7 +61,8 @@ impl EgressCounters {
 /// the egress pipeline totals (zero for runtimes without a wire).
 #[derive(Clone, Debug, Default)]
 pub struct NetCounters {
-    /// Frames dropped at each node's inbound mailbox, indexed by address.
+    /// Frames dropped at each node's inbound mailbox, indexed by address
+    /// (always zero on the TCP tier, which has no mailbox).
     pub mailbox_drops: Vec<u64>,
     /// Outbound pipeline counters (all nodes aggregated).
     pub egress: EgressCounters,

@@ -3,128 +3,103 @@
 //! The third runtime tier. The simulator proves protocol shapes, the
 //! threaded runtime proves the locking, and this one proves the *wire*:
 //! every message crosses a real `TcpStream` through the binary codec and
-//! [`FrameDecoder`](scalla_proto::FrameDecoder), with all the
-//! fragmentation and interleaving a kernel socket provides. The very same
-//! [`Node`] state machines run unmodified.
+//! [`FrameDecoder`], with all the fragmentation and interleaving a kernel
+//! socket provides. The very same [`Node`] state machines run unmodified.
 //!
-//! Topology: each node owns a listener on `127.0.0.1`; outgoing links are
-//! lazy persistent connections that start with an 8-byte sender-address
-//! preamble so the receiver can attribute frames. A dead peer shows up as
-//! a broken pipe and the message is dropped — exactly the loss semantics
-//! of the other runtimes.
-//!
-//! Sends never block the protocol thread: each outgoing link is a bounded
-//! queue drained by a writer thread that coalesces queued frames into
-//! vectored writes (see [`egress`](crate::egress) internals). Inbound
-//! frames land in a bounded mailbox; overflow drops are counted per node
-//! and surfaced through [`TcpNet::counters`].
+//! Each node owns a listener on `127.0.0.1` and one thread running an
+//! `epoll` reactor over its sockets and timers (Linux only; DESIGN.md,
+//! "Runtime tiers"). Sends never block, a hop costs one thread wake-up,
+//! and a dead peer shows up as a failed connect or write whose frames are
+//! dropped and counted — the loss semantics of the other runtimes.
 
 use crate::admin::AdminServer;
 use crate::chaos::{FaultGates, GateVerdict};
-use crate::egress::{EgressLink, EgressShared, EgressTuning};
+use crate::egress::{Egress, EgressShared, EgressStats, EgressTuning, Io, LINK_TOKEN};
 use crate::metrics::{EgressCounters, NetCounters};
+use crate::sys::{Epoll, Event, EPOLLIN};
 use bytes::BytesMut;
-use crossbeam::channel::{bounded, Receiver, Sender, TrySendError};
 use scalla_obs::Obs;
 use scalla_proto::{encode_frame, encode_frame_traced_pooled, Addr, FrameDecoder, Msg};
 use scalla_simnet::{NetCtx, Node};
-use scalla_util::{Clock, Nanos, SystemClock};
+use scalla_util::{Clock, Nanos, SplitMix64, SystemClock};
+use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
-use std::io::{Read, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::io::{ErrorKind, Read, Write};
+use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::os::fd::AsRawFd;
+use std::os::unix::net::UnixStream;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
 
-enum Envelope {
-    Deliver {
-        from: Addr,
-        msg: Msg,
-        trace: u64,
-    },
-    /// Re-runs the node's `on_start` after a chaos revive (timers are
-    /// cleared first — the node re-arms its own schedule, exactly as a
-    /// restarted process would).
-    Restart,
-    Stop,
+/// Epoll tokens: the waker, the listener, then inbound connection ids
+/// (outbound connections carry [`LINK_TOKEN`]).
+const WAKER: u64 = 0;
+const LISTENER: u64 = 1;
+/// Frames one socket may deliver per loop iteration (fairness).
+const FRAMES_PER_TURN: usize = 64;
+
+/// Restart and stop requests for one node, raised from outside its thread
+/// and seen by its loop after a byte on the waker socket.
+struct Control {
+    restart: AtomicBool,
+    stop: AtomicBool,
+    waker: UnixStream,
 }
 
-type PendingTcpNode = (Box<dyn Node>, Receiver<Envelope>, TcpListener);
+impl Control {
+    fn raise(&self, flag: &AtomicBool) {
+        flag.store(true, Ordering::SeqCst);
+        // A full waker already holds an unread wake-up.
+        let _ = (&self.waker).write(&[1]);
+    }
+}
 
-/// Placeholder returned from [`TcpNet::shutdown`] for address slots
-/// registered with [`TcpNet::add_external`], keeping the returned vector
-/// aligned with addresses.
+/// Placeholder that [`TcpNet::shutdown`] returns for an external slot.
 struct ExternalPeer;
 impl Node for ExternalPeer {
     fn on_message(&mut self, _: &mut dyn NetCtx, _: Addr, _: Msg) {}
 }
 
-struct TcpCtx<'a> {
-    me: Addr,
-    clock: &'a Arc<SystemClock>,
-    peers: &'a [SocketAddr],
-    links: &'a mut HashMap<Addr, EgressLink>,
-    shared: &'a Arc<EgressShared>,
-    timers: &'a mut BinaryHeap<std::cmp::Reverse<(Nanos, u64)>>,
-    rng_state: &'a mut u64,
-    gates: &'a FaultGates,
-    /// Ambient request trace id for this callback: seeded from the inbound
-    /// frame's envelope and stamped onto every frame sent from it, so a
-    /// trace follows the request across cmsd→supervisor→server hops
-    /// without touching the `Node` trait.
+/// Everything a node callback may touch.
+struct Core {
+    clock: Arc<SystemClock>,
+    gates: FaultGates,
+    timers: BinaryHeap<Reverse<(Nanos, u64)>>,
+    rng: SplitMix64,
+    /// Ambient trace id: taken from the inbound frame and stamped onto every
+    /// frame sent from the callback, so a trace follows the request across
+    /// hops without touching the `Node` trait.
     trace: u64,
+    out: Egress,
 }
 
-impl TcpCtx<'_> {
-    fn link(&mut self, to: Addr) -> Option<&EgressLink> {
-        if !self.links.contains_key(&to) {
-            let peer = *self.peers.get(to.0 as usize)?;
-            self.links.insert(to, EgressLink::spawn(self.me, peer, self.shared.clone()));
-        }
-        self.links.get(&to)
-    }
-}
-
-impl NetCtx for TcpCtx<'_> {
+impl NetCtx for Core {
     fn now(&self) -> Nanos {
         self.clock.now()
     }
     fn me(&self) -> Addr {
-        self.me
+        self.out.io.me
     }
     fn send(&mut self, to: Addr, msg: Msg) {
         // Chaos gate first: a crashed sender, crashed target, partitioned
         // pair, or loss roll silently eats the message before encoding.
-        let copies = match self.gates.verdict(self.me, to) {
+        let copies = match self.gates.verdict(self.out.io.me, to) {
             GateVerdict::Drop => return,
             GateVerdict::Deliver => 1,
             GateVerdict::Duplicate => 2,
         };
-        // Encode into a pooled buffer and queue it; the writer thread owns
-        // every socket interaction. This path must never block.
-        let shared = self.shared.clone();
         for _ in 0..copies {
-            let frame = encode_frame_traced_pooled(&msg, self.trace, &self.shared.pool);
-            match self.link(to) {
-                Some(link) => link.send(frame, &shared),
-                None => {
-                    // Address outside the net: same silent-drop semantics
-                    // as a dead peer, but accounted.
-                    shared.stats.conn_drops.fetch_add(1, Ordering::Relaxed);
-                    shared.pool.put(frame);
-                }
-            }
+            let frame = encode_frame_traced_pooled(&msg, self.trace, &self.out.io.stats.pool);
+            self.out.send(to, frame);
         }
     }
     fn set_timer(&mut self, delay: Nanos, token: u64) {
-        self.timers.push(std::cmp::Reverse((self.clock.now() + delay, token)));
+        self.timers.push(Reverse((self.clock.now() + delay, token)));
     }
     fn rand_u64(&mut self) -> u64 {
-        *self.rng_state = self.rng_state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = *self.rng_state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
+        self.rng.next_u64()
     }
     fn set_trace(&mut self, trace: u64) {
         self.trace = trace;
@@ -134,20 +109,188 @@ impl NetCtx for TcpCtx<'_> {
     }
 }
 
+/// An accepted connection: the sender's 8-byte address, then frames.
+struct Inbound {
+    stream: TcpStream,
+    pre: Vec<u8>,
+    dec: FrameDecoder,
+}
+
+/// One node's thread: its state machine and every socket it owns.
+struct Reactor {
+    node: Box<dyn Node>,
+    core: Core,
+    listener: TcpListener,
+    waker: UnixStream,
+    control: Arc<Control>,
+    inbound: HashMap<u64, Inbound>,
+    /// Connections whose last turn ended on the frame budget.
+    backlog: Vec<u64>,
+    next_id: u64,
+    buf: Vec<u8>,
+}
+
+impl Reactor {
+    /// The loop: flush, wait, fire due timers, handle ready sockets.
+    fn run(mut self) -> Box<dyn Node> {
+        self.node.on_start(&mut self.core);
+        let (mut events, mut due) = ([Event::default(); 64], Vec::new());
+        'run: loop {
+            self.core.out.flush();
+            let deadline = self.core.out.expire();
+            let timeout = if self.backlog.is_empty() { self.timeout_ms(deadline) } else { 0 };
+            let n = self.core.out.io.ep.wait(&mut events, timeout);
+            // Collected first, so a zero-delay re-arm waits a turn.
+            let now = self.core.clock.now();
+            while let Some(&Reverse((_, token))) =
+                self.core.timers.peek().filter(|Reverse((at, _))| *at <= now)
+            {
+                self.core.timers.pop();
+                due.push(token);
+            }
+            for token in due.drain(..) {
+                if !self.core.gates.is_down(self.core.out.io.me) {
+                    self.core.trace = 0;
+                    self.node.on_timer(&mut self.core, token);
+                }
+            }
+            let backlog = std::mem::take(&mut self.backlog);
+            for &Event { token, events: ready } in &events[..n] {
+                match token {
+                    WAKER if self.control() => break 'run,
+                    WAKER => {}
+                    LISTENER => self.accept(),
+                    t if t & LINK_TOKEN != 0 => self.core.out.on_ready(t, ready),
+                    id => self.pump(id),
+                }
+            }
+            for id in backlog {
+                self.pump(id);
+            }
+        }
+        self.core.out.discard();
+        self.node
+    }
+
+    /// Milliseconds (rounded up) to the next timer or link deadline.
+    fn timeout_ms(&self, deadline: Option<Instant>) -> i32 {
+        let now = self.core.clock.now();
+        let timer =
+            self.core.timers.peek().map(|Reverse((at, _))| Duration::from_nanos(at.since(now).0));
+        let link = deadline.map(|at| at.saturating_duration_since(Instant::now()));
+        let wait = timer.into_iter().chain(link).min();
+        wait.map_or(-1, |d| i32::try_from(d.as_nanos().div_ceil(1_000_000)).unwrap_or(i32::MAX))
+    }
+
+    /// Handles a wake-up; returns true when the node must stop.
+    fn control(&mut self) -> bool {
+        while matches!((&self.waker).read(&mut [0u8; 64]), Ok(n) if n > 0) {}
+        if self.control.stop.load(Ordering::SeqCst) {
+            return true;
+        }
+        if self.control.restart.swap(false, Ordering::SeqCst) {
+            // A revive: the node re-arms its schedule like a new process.
+            self.core.timers.clear();
+            self.core.trace = 0;
+            self.node.on_start(&mut self.core);
+        }
+        false
+    }
+
+    fn accept(&mut self) {
+        // Ends when the accept queue is drained (or on a transient error).
+        while let Ok((stream, _)) = self.listener.accept() {
+            self.next_id += 1;
+            let (ep, id) = (&self.core.out.io.ep, self.next_id);
+            if stream.set_nonblocking(true).is_ok()
+                && ep.add(stream.as_raw_fd(), EPOLLIN, id).is_ok()
+            {
+                self.inbound
+                    .insert(id, Inbound { stream, pre: Vec::new(), dec: FrameDecoder::new() });
+            }
+        }
+    }
+
+    /// Reads and delivers up to [`FRAMES_PER_TURN`] frames from one
+    /// connection; one that used its whole budget goes on the backlog.
+    fn pump(&mut self, id: u64) {
+        let Reactor { node, core, inbound, backlog, buf, .. } = self;
+        let Some(conn) = inbound.get_mut(&id) else { return };
+        let (mut budget, mut drained) = (FRAMES_PER_TURN, false);
+        let open = 'pump: loop {
+            while let (Ok(pre), true) = (<[u8; 8]>::try_from(&conn.pre[..]), budget > 0) {
+                match conn.dec.next_traced() {
+                    Ok(Some((trace, msg))) => {
+                        budget -= 1;
+                        if !core.gates.is_down(core.out.io.me) {
+                            core.trace = trace;
+                            node.on_message(core, Addr(u64::from_le_bytes(pre)), msg);
+                        }
+                    }
+                    Ok(None) => break,
+                    Err(_) => break 'pump false, // garbage stream
+                }
+            }
+            if budget == 0 {
+                if !backlog.contains(&id) {
+                    backlog.push(id);
+                }
+                break true;
+            }
+            if drained {
+                break true; // a short read emptied the socket
+            }
+            let data = match (&conn.stream).read(buf) {
+                Ok(0) => break false,
+                Ok(n) => &buf[..n],
+                Err(e) if e.kind() == ErrorKind::WouldBlock => break true,
+                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+                Err(_) => break false,
+            };
+            drained = data.len() < buf.len();
+            let take = (8 - conn.pre.len()).min(data.len());
+            conn.pre.extend_from_slice(&data[..take]);
+            conn.dec.feed(&data[take..]);
+        };
+        if !open {
+            inbound.remove(&id);
+        }
+    }
+}
+
+enum Slot {
+    Pending(Box<dyn Node>, TcpListener, Epoll, UnixStream, Arc<Control>),
+    Running(JoinHandle<Box<dyn Node>>, Arc<Control>),
+    External,
+}
+
+fn net_counters(stats: &[Arc<EgressStats>]) -> NetCounters {
+    let sum = |f: fn(&EgressStats) -> u64| stats.iter().map(|s| f(s)).sum();
+    NetCounters {
+        // Frames are decoded straight into the node: there is no mailbox.
+        mailbox_drops: vec![0; stats.len()],
+        egress: EgressCounters {
+            frames: sum(|s| s.frames.load(Ordering::Relaxed)),
+            writes: sum(|s| s.writes.load(Ordering::Relaxed)),
+            queue_drops: sum(|s| s.queue_drops.load(Ordering::Relaxed)),
+            conn_drops: sum(|s| s.conn_drops.load(Ordering::Relaxed)),
+            pool_hits: sum(|s| s.pool.hits()),
+            pool_misses: sum(|s| s.pool.misses()),
+            peer_deaths: sum(|s| s.peer_deaths.load(Ordering::Relaxed)),
+            peer_reconnects: sum(|s| s.peer_reconnects.load(Ordering::Relaxed)),
+        },
+    }
+}
+
 /// The TCP runtime.
+#[derive(Default)]
 pub struct TcpNet {
     clock: Arc<SystemClock>,
     peers: Vec<SocketAddr>,
-    mailboxes: Vec<Sender<Envelope>>,
-    mailbox_drops: Vec<Arc<AtomicU64>>,
-    pending: Vec<Option<PendingTcpNode>>,
-    node_handles: Vec<Option<JoinHandle<Box<dyn Node>>>>,
-    acceptor_handles: Vec<Option<JoinHandle<()>>>,
-    /// Clones of accepted inbound streams, shut down at teardown so reader
-    /// threads blocked in `read` wake deterministically.
-    inbound: Arc<Mutex<Vec<TcpStream>>>,
+    slots: Vec<Slot>,
+    /// Per-node egress counters, indexed by address.
+    stats: Vec<Arc<EgressStats>>,
     shared: Arc<EgressShared>,
-    stop: Arc<AtomicBool>,
     started: bool,
     admin: Option<AdminServer>,
     gates: FaultGates,
@@ -156,22 +299,7 @@ pub struct TcpNet {
 impl TcpNet {
     /// Creates an empty TCP network.
     pub fn new() -> std::io::Result<TcpNet> {
-        let stop = Arc::new(AtomicBool::new(false));
-        Ok(TcpNet {
-            clock: Arc::new(SystemClock::new()),
-            peers: Vec::new(),
-            mailboxes: Vec::new(),
-            mailbox_drops: Vec::new(),
-            pending: Vec::new(),
-            node_handles: Vec::new(),
-            acceptor_handles: Vec::new(),
-            inbound: Arc::new(Mutex::new(Vec::new())),
-            shared: Arc::new(EgressShared::new(stop.clone())),
-            stop,
-            started: false,
-            admin: None,
-            gates: FaultGates::new(0),
-        })
+        Ok(TcpNet::default())
     }
 
     /// The chaos gates governing this net's message flow. Cloning shares
@@ -187,13 +315,14 @@ impl TcpNet {
         self.gates = gates;
     }
 
-    /// Overrides the egress writer timeouts and dead-peer probe schedule.
+    /// Overrides the connect and write budgets and the dead-peer probe
+    /// schedule.
     pub fn set_egress_tuning(&self, tuning: EgressTuning) {
         *self.shared.tuning.write() = tuning;
     }
 
-    /// Attaches an observability handle: egress writers report
-    /// `peer_dead` / `peer_reconnected` recovery events through it.
+    /// Attaches an observability handle: nodes report `peer_dead` /
+    /// `peer_reconnected` recovery events through it.
     /// ([`TcpNet::serve_admin`] attaches its handle automatically.)
     pub fn set_obs(&self, obs: Obs) {
         *self.shared.obs.write() = obs;
@@ -207,11 +336,15 @@ impl TcpNet {
     }
 
     /// Clears the down gate and restarts the node's state machine
-    /// (`on_start` re-runs on its protocol thread; pending timers are
-    /// discarded first).
+    /// (`on_start` re-runs on its thread; pending timers are discarded
+    /// first).
     pub fn revive(&self, addr: Addr) {
         self.gates.revive(addr);
-        let _ = self.mailboxes[addr.0 as usize].try_send(Envelope::Restart);
+        if let Some(Slot::Pending(.., ctl) | Slot::Running(_, ctl)) =
+            self.slots.get(addr.0 as usize)
+        {
+            ctl.raise(&ctl.restart);
+        }
     }
 
     /// The shared clock.
@@ -223,37 +356,30 @@ impl TcpNet {
     pub fn add_node(&mut self, node: Box<dyn Node>) -> std::io::Result<Addr> {
         assert!(!self.started, "add_node before start");
         let listener = TcpListener::bind("127.0.0.1:0")?;
-        let local = listener.local_addr()?;
-        let (tx, rx) = bounded::<Envelope>(65_536);
-        let addr = Addr(self.peers.len() as u64);
-        self.peers.push(local);
-        self.mailboxes.push(tx);
-        self.mailbox_drops.push(Arc::new(AtomicU64::new(0)));
-        self.pending.push(Some((node, rx, listener)));
-        self.node_handles.push(None);
-        self.acceptor_handles.push(None);
-        Ok(addr)
+        let (waker, wake_tx) = UnixStream::pair()?;
+        let ep = Epoll::new()?;
+        ep.add(listener.as_raw_fd(), EPOLLIN, LISTENER)?;
+        ep.add(waker.as_raw_fd(), EPOLLIN, WAKER)?;
+        listener.set_nonblocking(true)?;
+        waker.set_nonblocking(true)?;
+        wake_tx.set_nonblocking(true)?;
+        let ctl = Control { restart: false.into(), stop: false.into(), waker: wake_tx };
+        self.peers.push(listener.local_addr()?);
+        self.stats.push(Arc::default());
+        self.slots.push(Slot::Pending(node, listener, ep, waker, Arc::new(ctl)));
+        Ok(Addr(self.peers.len() as u64 - 1))
     }
 
-    /// Registers an address slot served by an *external* socket the net
-    /// does not manage (fault injection: a black-hole listener that
-    /// accepts but never reads, a server speaking garbage, …). Frames
-    /// sent to it leave through the normal egress pipeline; nothing is
-    /// read back. [`TcpNet::shutdown`] returns a placeholder node for the
-    /// slot so address alignment is preserved.
+    /// Registers an address slot served by an *external* IPv4 socket the
+    /// net does not manage (fault injection: a black-hole listener, a server
+    /// speaking garbage, …). Frames sent to it leave as usual; nothing is
+    /// read back. [`TcpNet::shutdown`] returns a placeholder for it.
     pub fn add_external(&mut self, peer: SocketAddr) -> Addr {
         assert!(!self.started, "add_external before start");
-        let addr = Addr(self.peers.len() as u64);
         self.peers.push(peer);
-        // Dummy mailbox: the receiver is dropped immediately, so sends to
-        // it error out harmlessly.
-        let (tx, _rx) = bounded::<Envelope>(1);
-        self.mailboxes.push(tx);
-        self.mailbox_drops.push(Arc::new(AtomicU64::new(0)));
-        self.pending.push(None);
-        self.node_handles.push(None);
-        self.acceptor_handles.push(None);
-        addr
+        self.stats.push(Arc::default());
+        self.slots.push(Slot::External);
+        Addr(self.peers.len() as u64 - 1)
     }
 
     /// The socket address a node listens on (diagnostics).
@@ -262,11 +388,9 @@ impl TcpNet {
     }
 
     /// Starts the admin endpoint for this net: one listener thread serving
-    /// line-oriented `/metrics`, `/stats`, and `/flight` requests against
-    /// `obs` (see [`crate::admin`]). The net's own wire counters are
-    /// mirrored into the registry at every scrape; call this after the
-    /// last [`TcpNet::add_node`] so every mailbox is covered. Returns the
-    /// endpoint's socket address.
+    /// `/metrics`, `/stats` and `/flight` from `obs` (see [`crate::admin`]),
+    /// with the net's wire counters mirrored in at every scrape. Call it
+    /// after the last [`TcpNet::add_node`]. Returns the endpoint address.
     pub fn serve_admin(&mut self, obs: Obs) -> std::io::Result<SocketAddr> {
         self.serve_admin_with(obs, None)
     }
@@ -281,25 +405,8 @@ impl TcpNet {
         assert!(obs.is_enabled(), "serve_admin needs an enabled Obs handle");
         assert!(self.admin.is_none(), "serve_admin once per net");
         self.set_obs(obs.clone());
-        let shared = self.shared.clone();
-        let drops: Vec<Arc<AtomicU64>> = self.mailbox_drops.clone();
-        obs.registry().add_collector(Box::new(move |reg| {
-            let stats = &shared.stats;
-            let counters = NetCounters {
-                mailbox_drops: drops.iter().map(|c| c.load(Ordering::Relaxed)).collect(),
-                egress: EgressCounters {
-                    frames: stats.frames.load(Ordering::Relaxed),
-                    writes: stats.writes.load(Ordering::Relaxed),
-                    queue_drops: stats.queue_drops.load(Ordering::Relaxed),
-                    conn_drops: stats.conn_drops.load(Ordering::Relaxed),
-                    pool_hits: shared.pool.hits(),
-                    pool_misses: shared.pool.misses(),
-                    peer_deaths: stats.peer_deaths.load(Ordering::Relaxed),
-                    peer_reconnects: stats.peer_reconnects.load(Ordering::Relaxed),
-                },
-            };
-            counters.export_into(reg);
-        }));
+        let stats = self.stats.clone();
+        obs.registry().add_collector(Box::new(move |reg| net_counters(&stats).export_into(reg)));
         let server = AdminServer::spawn_with(obs, view)?;
         let addr = server.addr();
         self.admin = Some(server);
@@ -308,220 +415,67 @@ impl TcpNet {
 
     /// Wire and queue counters accumulated so far (callable any time).
     pub fn counters(&self) -> NetCounters {
-        let stats = &self.shared.stats;
-        NetCounters {
-            mailbox_drops: self.mailbox_drops.iter().map(|c| c.load(Ordering::Relaxed)).collect(),
-            egress: EgressCounters {
-                frames: stats.frames.load(Ordering::Relaxed),
-                writes: stats.writes.load(Ordering::Relaxed),
-                queue_drops: stats.queue_drops.load(Ordering::Relaxed),
-                conn_drops: stats.conn_drops.load(Ordering::Relaxed),
-                pool_hits: self.shared.pool.hits(),
-                pool_misses: self.shared.pool.misses(),
-                peer_deaths: stats.peer_deaths.load(Ordering::Relaxed),
-                peer_reconnects: stats.peer_reconnects.load(Ordering::Relaxed),
-            },
-        }
+        net_counters(&self.stats)
     }
 
-    /// Spawns every node (protocol thread + acceptor + per-connection
-    /// readers) and runs `on_start`.
+    /// Spawns one reactor thread per node; each runs `on_start` first.
     pub fn start(&mut self) {
         assert!(!self.started, "start once");
         self.started = true;
-        let peers = self.peers.clone();
-        for i in 0..self.pending.len() {
-            let Some((mut node, rx, listener)) = self.pending[i].take() else {
-                continue; // external slot: no acceptor, no protocol thread
+        for (i, slot) in self.slots.iter_mut().enumerate() {
+            let Slot::Pending(node, listener, ep, waker, control) =
+                std::mem::replace(slot, Slot::External)
+            else {
+                continue; // external slot: nothing to run
             };
             let me = Addr(i as u64);
-            let clock = self.clock.clone();
-            let peers = peers.clone();
-            let stop = self.stop.clone();
-            let mailbox = self.mailboxes[i].clone();
-            let drops = self.mailbox_drops[i].clone();
-            let inbound = self.inbound.clone();
-            let shared = self.shared.clone();
-            let gates = self.gates.clone();
-
-            // Acceptor: blocking accept, one reader thread per inbound
-            // connection decoding frames into the node's mailbox. Woken at
-            // shutdown by a throwaway connection; joins its readers (woken
-            // by the inbound-registry shutdown) before exiting.
-            let acceptor = std::thread::Builder::new()
-                .name(format!("scalla-tcp-accept-{i}"))
-                .spawn(move || {
-                    let mut readers: Vec<JoinHandle<()>> = Vec::new();
-                    while !stop.load(Ordering::Relaxed) {
-                        match listener.accept() {
-                            Ok((stream, _)) => {
-                                if stop.load(Ordering::Relaxed) {
-                                    break; // the shutdown wake-up call
-                                }
-                                if let Ok(clone) = stream.try_clone() {
-                                    inbound.lock().expect("inbound registry").push(clone);
-                                }
-                                let mailbox = mailbox.clone();
-                                let drops = drops.clone();
-                                readers.push(std::thread::spawn(move || {
-                                    reader_loop(stream, mailbox, drops)
-                                }));
-                            }
-                            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                            Err(_) => break,
-                        }
-                    }
-                    for r in readers {
-                        let _ = r.join();
-                    }
-                })
-                .expect("spawn acceptor");
-            self.acceptor_handles[i] = Some(acceptor);
-
-            // Protocol thread: identical event loop to LiveNet, but sends
-            // go out through the egress pipeline.
-            let handle = std::thread::Builder::new()
+            let io = Io { me, ep, stats: self.stats[i].clone(), shared: self.shared.clone() };
+            let core = Core {
+                clock: self.clock.clone(),
+                gates: self.gates.clone(),
+                timers: BinaryHeap::new(),
+                rng: SplitMix64::new(0x7C9_0000 ^ me.0),
+                trace: 0,
+                out: Egress::new(io, &self.peers),
+            };
+            let reactor = Reactor {
+                node,
+                core,
+                listener,
+                waker,
+                control: control.clone(),
+                inbound: HashMap::new(),
+                backlog: Vec::new(),
+                next_id: LISTENER,
+                buf: vec![0; 64 * 1024],
+            };
+            let thread = std::thread::Builder::new()
                 .name(format!("scalla-tcp-node-{i}"))
-                .spawn(move || {
-                    let mut timers: BinaryHeap<std::cmp::Reverse<(Nanos, u64)>> = BinaryHeap::new();
-                    let mut links: HashMap<Addr, EgressLink> = HashMap::new();
-                    let mut rng_state = 0x7C9_0000 ^ me.0;
-                    {
-                        let mut ctx = TcpCtx {
-                            me,
-                            clock: &clock,
-                            peers: &peers,
-                            links: &mut links,
-                            shared: &shared,
-                            timers: &mut timers,
-                            rng_state: &mut rng_state,
-                            gates: &gates,
-                            trace: 0,
-                        };
-                        node.on_start(&mut ctx);
-                    }
-                    loop {
-                        let now = clock.now();
-                        let mut due = Vec::new();
-                        while let Some(&std::cmp::Reverse((at, token))) = timers.peek() {
-                            if at <= now {
-                                timers.pop();
-                                due.push(token);
-                            } else {
-                                break;
-                            }
-                        }
-                        for token in due {
-                            if gates.is_down(me) {
-                                continue; // a crashed node's timers don't fire
-                            }
-                            let mut ctx = TcpCtx {
-                                me,
-                                clock: &clock,
-                                peers: &peers,
-                                links: &mut links,
-                                shared: &shared,
-                                timers: &mut timers,
-                                rng_state: &mut rng_state,
-                                gates: &gates,
-                                trace: 0,
-                            };
-                            node.on_timer(&mut ctx, token);
-                        }
-                        let wait = timers
-                            .peek()
-                            .map(|&std::cmp::Reverse((at, _))| {
-                                std::time::Duration::from_nanos(at.since(clock.now()).0)
-                            })
-                            .unwrap_or(std::time::Duration::from_millis(50));
-                        match rx.recv_timeout(wait) {
-                            Ok(Envelope::Deliver { from, msg, trace }) => {
-                                if gates.is_down(me) {
-                                    continue; // a crashed node hears nothing
-                                }
-                                let mut ctx = TcpCtx {
-                                    me,
-                                    clock: &clock,
-                                    peers: &peers,
-                                    links: &mut links,
-                                    shared: &shared,
-                                    timers: &mut timers,
-                                    rng_state: &mut rng_state,
-                                    gates: &gates,
-                                    trace,
-                                };
-                                node.on_message(&mut ctx, from, msg);
-                            }
-                            Ok(Envelope::Restart) => {
-                                timers.clear();
-                                let mut ctx = TcpCtx {
-                                    me,
-                                    clock: &clock,
-                                    peers: &peers,
-                                    links: &mut links,
-                                    shared: &shared,
-                                    timers: &mut timers,
-                                    rng_state: &mut rng_state,
-                                    gates: &gates,
-                                    trace: 0,
-                                };
-                                node.on_start(&mut ctx);
-                            }
-                            Ok(Envelope::Stop) => break,
-                            Err(crossbeam::channel::RecvTimeoutError::Timeout) => {}
-                            Err(crossbeam::channel::RecvTimeoutError::Disconnected) => break,
-                        }
-                    }
-                    // Dropping each queue sender wakes its writer; join
-                    // them all so no writer outlives the net.
-                    for (_, link) in links.drain() {
-                        link.close();
-                    }
-                    node
-                })
+                .spawn(move || reactor.run())
                 .expect("spawn node thread");
-            self.node_handles[i] = Some(handle);
+            *slot = Slot::Running(thread, control);
         }
     }
 
-    /// Stops every node and returns them in address order (placeholder
-    /// entries for [`TcpNet::add_external`] slots). Teardown is prompt and
-    /// leak-free: protocol threads join their egress writers, inbound
-    /// sockets are shut down to wake blocked readers, and each acceptor is
-    /// woken by a throwaway connection and joins its readers.
+    /// Stops every node and returns them in address order (placeholders
+    /// for [`TcpNet::add_external`] slots). The admin endpoint stops
+    /// first; each node then leaves its loop at its stop wake-up, counting
+    /// still-buffered output as `conn_drops`.
     pub fn shutdown(mut self) -> Vec<Box<dyn Node>> {
-        self.stop.store(true, Ordering::Relaxed);
         if let Some(admin) = self.admin.take() {
             admin.shutdown();
         }
-        for tx in &self.mailboxes {
-            let _ = tx.send(Envelope::Stop);
-        }
-        // 1. Protocol threads (each joins its writer threads on the way
-        //    out, which closes all outgoing connections).
-        let nodes: Vec<Box<dyn Node>> = self
-            .node_handles
-            .iter_mut()
-            .map(|h| match h.take() {
-                Some(h) => h.join().expect("node thread panicked"),
-                None => Box::new(ExternalPeer) as Box<dyn Node>,
-            })
-            .collect();
-        // 2. Wake any reader still blocked in `read` (streams whose peer
-        //    did not close: injected or external connections).
-        for stream in self.inbound.lock().expect("inbound registry").drain(..) {
-            let _ = stream.shutdown(Shutdown::Both);
-        }
-        // 3. Wake each acceptor out of `accept` and join it (it joins its
-        //    readers first).
-        for (i, slot) in self.acceptor_handles.iter_mut().enumerate() {
-            if let Some(handle) = slot.take() {
-                let _ =
-                    TcpStream::connect_timeout(&self.peers[i], std::time::Duration::from_secs(1));
-                let _ = handle.join();
+        for slot in &self.slots {
+            if let Slot::Running(_, ctl) = slot {
+                ctl.raise(&ctl.stop);
             }
         }
-        nodes
+        let node = |slot| match slot {
+            Slot::Running(thread, _) => thread.join().expect("node thread panicked"),
+            Slot::Pending(node, ..) => node,
+            Slot::External => Box::new(ExternalPeer) as Box<dyn Node>,
+        };
+        self.slots.into_iter().map(node).collect()
     }
 
     /// Injects a message from a synthetic external address over a real
@@ -529,54 +483,12 @@ impl TcpNet {
     /// bounded so a hung target cannot wedge the caller.
     pub fn inject(&self, from: Addr, to: Addr, msg: Msg) -> std::io::Result<()> {
         let peer = self.peers[to.0 as usize];
-        let mut stream = TcpStream::connect_timeout(&peer, std::time::Duration::from_secs(1))?;
-        stream.set_write_timeout(Some(std::time::Duration::from_secs(1)))?;
-        stream.write_all(&from.0.to_le_bytes())?;
+        let mut stream = TcpStream::connect_timeout(&peer, Duration::from_secs(1))?;
+        stream.set_write_timeout(Some(Duration::from_secs(1)))?;
         let mut buf = BytesMut::new();
+        buf.extend_from_slice(&from.0.to_le_bytes());
         encode_frame(&msg, &mut buf);
-        stream.write_all(&buf)?;
-        // Linger long enough for delivery; the reader sees EOF after.
-        stream.flush()?;
-        Ok(())
-    }
-}
-
-/// Per-connection inbound loop: preamble, then frames into the mailbox.
-/// Blocking reads; woken at shutdown by the inbound-registry `shutdown`
-/// (or naturally by peer EOF). Mailbox overflow drops are counted.
-fn reader_loop(mut stream: TcpStream, mailbox: Sender<Envelope>, drops: Arc<AtomicU64>) {
-    stream.set_nodelay(true).ok();
-    let mut pre = [0u8; 8];
-    if stream.read_exact(&mut pre).is_err() {
-        return;
-    }
-    let from = Addr(u64::from_le_bytes(pre));
-    let mut dec = FrameDecoder::new();
-    let mut buf = [0u8; 16 * 1024];
-    loop {
-        match stream.read(&mut buf) {
-            Ok(0) => return, // peer closed
-            Ok(n) => {
-                dec.feed(&buf[..n]);
-                loop {
-                    match dec.next_traced() {
-                        Ok(Some((trace, msg))) => {
-                            match mailbox.try_send(Envelope::Deliver { from, msg, trace }) {
-                                Ok(()) => {}
-                                Err(TrySendError::Full(_)) => {
-                                    drops.fetch_add(1, Ordering::Relaxed);
-                                }
-                                Err(TrySendError::Disconnected(_)) => return,
-                            }
-                        }
-                        Ok(None) => break,
-                        Err(_) => return, // garbage stream
-                    }
-                }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(_) => return,
-        }
+        stream.write_all(&buf)
     }
 }
 
@@ -667,6 +579,45 @@ mod tests {
             "deterministic wake protocol must tear down quickly, took {:?}",
             t0.elapsed()
         );
+    }
+
+    #[test]
+    fn preamble_and_frames_fed_one_byte_per_write_decode_intact() {
+        struct Record(Arc<std::sync::Mutex<Vec<(Addr, Msg)>>>);
+        impl Node for Record {
+            fn on_message(&mut self, _: &mut dyn NetCtx, from: Addr, msg: Msg) {
+                self.0.lock().expect("recorder lock").push((from, msg));
+            }
+        }
+        let seen = Arc::new(std::sync::Mutex::new(Vec::new()));
+        let mut net = TcpNet::new().unwrap();
+        let sink = net.add_node(Box::new(Record(seen.clone()))).unwrap();
+        net.start();
+        let msgs: Vec<Msg> = vec![
+            ClientMsg::Open { path: "/one/byte".into(), write: false, refresh: false, avoid: None }
+                .into(),
+            ServerMsg::OpenOk { handle: 7 }.into(),
+            ServerMsg::CloseOk.into(),
+        ];
+        let mut wire = BytesMut::new();
+        wire.extend_from_slice(&4242u64.to_le_bytes());
+        for m in &msgs {
+            encode_frame(m, &mut wire);
+        }
+        let mut s = TcpStream::connect(net.socket_of(sink)).unwrap();
+        s.set_nodelay(true).unwrap();
+        for b in wire.iter() {
+            s.write_all(std::slice::from_ref(b)).unwrap();
+        }
+        assert_poll(Duration::from_secs(10), "all frames decoded", || {
+            seen.lock().expect("recorder lock").len() == msgs.len()
+        });
+        let got = seen.lock().expect("recorder lock").clone();
+        assert!(got.iter().all(|(from, _)| *from == Addr(4242)), "{got:?}");
+        let got: Vec<String> = got.iter().map(|(_, m)| format!("{m:?}")).collect();
+        let want: Vec<String> = msgs.iter().map(|m| format!("{m:?}")).collect();
+        assert_eq!(got, want);
+        net.shutdown();
     }
 
     #[test]

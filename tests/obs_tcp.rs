@@ -3,11 +3,16 @@
 //! histograms must fill, and the admin endpoint's Prometheus text must
 //! survive a parser check.
 
+mod common;
+
+use common::Watched;
 use scalla::client::{ClientConfig, ClientNode, ClientOp, Directory, OpOutcome};
 use scalla::node::{CmsdConfig, CmsdNode, ServerConfig, ServerNode};
 use scalla::prelude::*;
-use scalla::sim::{scrape, TcpNet};
+use scalla::sim::{assert_poll, scrape, TcpNet};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
+use std::time::Duration;
 
 /// A minimal Prometheus text-exposition check: every comment is `# HELP`
 /// or `# TYPE`, every sample line is `name[{labels}] value` with a
@@ -99,11 +104,14 @@ fn obs_tcp_cluster_traces_and_metrics() {
     ccfg.request_timeout = Nanos::from_secs(5);
     let mut client_node = ClientNode::new(ccfg);
     client_node.set_obs(obs.clone());
-    let client = net.add_node(Box::new(client_node)).unwrap();
+    let (watched, done) = Watched::new(client_node);
+    let client = net.add_node(Box::new(watched)).unwrap();
 
     let admin = net.serve_admin(obs.clone()).expect("admin endpoint binds");
     net.start();
-    std::thread::sleep(std::time::Duration::from_secs(4));
+    assert_poll(Duration::from_secs(4), "client finished its script", || {
+        done.load(Ordering::SeqCst)
+    });
 
     // Scrape while the net is live; the admin listener dies with shutdown.
     let metrics = scrape(admin, "/metrics").expect("scrape /metrics");

@@ -1,15 +1,19 @@
 //! Full cluster over real TCP sockets: logins, locate floods, redirects,
 //! and file I/O all cross the wire through the binary codec.
 
+mod common;
+
 use bytes::Bytes;
+use common::Watched;
 use scalla::cache::CacheConfig;
 use scalla::client::{ClientConfig, ClientNode, ClientOp, Directory, OpOutcome};
 use scalla::node::{CmsdConfig, CmsdNode, ServerConfig, ServerNode};
 use scalla::prelude::*;
-use scalla::sim::TcpNet;
+use scalla::sim::{assert_poll, TcpNet};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
 
 #[test]
 fn tcp_cluster_end_to_end() {
@@ -43,10 +47,13 @@ fn tcp_cluster_end_to_end() {
     let mut ccfg = ClientConfig::new(manager, directory, ops);
     ccfg.start_delay = Nanos::from_millis(800);
     ccfg.request_timeout = Nanos::from_secs(5);
-    let client = net.add_node(Box::new(ClientNode::new(ccfg))).unwrap();
+    let (watched, done) = Watched::new(ClientNode::new(ccfg));
+    let client = net.add_node(Box::new(watched)).unwrap();
 
     net.start();
-    std::thread::sleep(std::time::Duration::from_secs(4));
+    assert_poll(Duration::from_secs(4), "client finished its script", || {
+        done.load(Ordering::SeqCst)
+    });
     let mut nodes = net.shutdown();
     let results = nodes[client.0 as usize]
         .as_any_mut()
